@@ -60,18 +60,18 @@ let geomean xs =
 
 (* One measurement, in measurement order. Every row carries the full
    configuration it was measured under — scale factor, thread count, the
-   radix toggle, and (since the kernel PR) the bigarray-storage and
-   fused-kernel toggles — so --compare can refuse to diff incompatible
-   runs instead of silently reporting a config change as a perf change.
-   The config fields are options only because baselines written before
-   they existed parse without them; fresh rows always have all of them. *)
+   radix toggle and the fused-kernel toggle — so --compare can refuse to
+   diff incompatible runs instead of silently reporting a config change as
+   a perf change. The config fields are options only because baselines
+   written before they existed parse without them; fresh rows always have
+   all of them. Older baselines may also carry a ["bigarray"] stamp from
+   when column storage had a second backing; the reader ignores it. *)
 type row = {
   exp_ : string;
   variant : string;
   threads : int;
   rsf : float option; (* scale factor *)
   radix : bool option; (* radix partitioning enabled? *)
-  bigarray : bool option; (* bigarray column storage enabled? *)
   fused : bool option; (* fused filter→aggregate kernels enabled? *)
   ivm : bool option; (* incremental view maintenance enabled? *)
   plancache : bool option; (* parameterized plan cache enabled? *)
@@ -80,15 +80,10 @@ type row = {
 
 let results : row list ref = ref []
 
-let record ?radix ?bigarray ?fused ?ivm ?plancache ~experiment ~variant
+let record ?radix ?fused ?ivm ?plancache ~experiment ~variant
     ~threads mean =
   let radix =
     match radix with Some b -> b | None -> Sqldb.Radix.enabled ()
-  in
-  let bigarray =
-    match bigarray with
-    | Some b -> b
-    | None -> Sqldb.Column.bigarray_enabled ()
   in
   let fused =
     match fused with Some b -> b | None -> Sqldb.Kernel.fuse_enabled ()
@@ -105,7 +100,6 @@ let record ?radix ?bigarray ?fused ?ivm ?plancache ~experiment ~variant
       threads;
       rsf = Some sf;
       radix = Some radix;
-      bigarray = Some bigarray;
       fused = Some fused;
       ivm = Some ivm;
       plancache = Some plancache;
@@ -148,12 +142,12 @@ let write_json path =
         match (r.rsf, r.radix) with
         | Some s, Some x ->
           let extra =
-            (* bigarray/fused stamps postdate sf/radix; rows carried over
-               from an older baseline keep their narrower config *)
-            match (r.bigarray, r.fused) with
-            | Some ba, Some fu ->
+            (* the fused stamp postdates sf/radix; rows carried over from
+               an older baseline keep their narrower config *)
+            match r.fused with
+            | Some fu ->
               let ivm_s =
-                (* the ivm stamp postdates bigarray/fused in turn *)
+                (* the ivm stamp postdates fused in turn *)
                 match r.ivm with
                 | Some v -> Printf.sprintf ", \"ivm\": %b" v
                 | None -> ""
@@ -164,9 +158,8 @@ let write_json path =
                 | Some v -> ivm_s ^ Printf.sprintf ", \"plancache\": %b" v
                 | None -> ivm_s
               in
-              Printf.sprintf ", \"bigarray\": %b, \"fused\": %b%s" ba fu
-                ivm_s
-            | _ -> ""
+              Printf.sprintf ", \"fused\": %b%s" fu ivm_s
+            | None -> ""
           in
           Printf.sprintf ", \"sf\": %g, \"radix\": %b%s" s x extra
         | _ -> "" (* pre-config row carried over verbatim *)
@@ -259,7 +252,6 @@ let read_baseline path : row list =
              threads = int_of_float t;
              rsf = field_num line "sf";
              radix = field_bool line "radix";
-             bigarray = field_bool line "bigarray";
              fused = field_bool line "fused";
              ivm = field_bool line "ivm";
              plancache = field_bool line "plancache";
@@ -318,7 +310,6 @@ let check_config ~(fresh : row) ~(base : row) =
     | _ -> ()
   in
   check_toggle "radix" fresh.radix base.radix;
-  check_toggle "bigarray" fresh.bigarray base.bigarray;
   check_toggle "fused" fresh.fused base.fused;
   check_toggle "ivm" fresh.ivm base.ivm;
   check_toggle "plancache" fresh.plancache base.plancache

@@ -1,8 +1,8 @@
 (* Interleaved A/B timing of raw vs dict for one query: runs of the two
    variants alternate so machine drift hits both equally. Reports minor
    allocation per query next to time — boxing regressions (e.g. a column
-   falling off the bigarray fast path back to boxed per-row evaluation)
-   show up here as an allocation jump long before they dominate wall time.
+   falling off a typed loop back to boxed per-row evaluation) show up here
+   as an allocation jump long before they dominate wall time.
    Scratch tool — not part of the bench suite. *)
 let () =
   let q = if Array.length Sys.argv > 1 then Sys.argv.(1) else "q4" in
@@ -20,9 +20,8 @@ let () =
      config fields on bench --json rows *)
   let onoff b = if b then "on" else "off" in
   Printf.printf
-    "config: sf=%g backend=%s bigarray=%s fused=%s radix=%s\n%!" sf
+    "config: sf=%g backend=%s fused=%s radix=%s\n%!" sf
     (if backend = Sqldb.Db.Vectorized then "duck" else "hyper")
-    (onoff (Sqldb.Column.bigarray_enabled ()))
     (onoff (Sqldb.Kernel.fuse_enabled ()))
     (onoff (Sqldb.Radix.enabled ()));
   let mk dict =

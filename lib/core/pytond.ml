@@ -224,17 +224,17 @@ let value_to_relation (v : Interp.value) : Relation.t =
     Relation.create [| "agg" |] [| Column.of_floats [| f |] |]
   | Interp.VTensor (Tensor.Dense.Vector a) ->
     Relation.create [| "id"; "c0" |]
-      [| Column.of_ints (Array.init (Array.length a) (fun i -> i + 1));
+      [| Column.of_ivec (Column.ivec_init (Array.length a) (fun i -> i + 1));
          Column.of_floats a |]
   | Interp.VTensor (Tensor.Dense.Matrix { rows; cols; data }) ->
     Relation.create
       (Array.of_list
          ("id" :: List.init cols (Printf.sprintf "c%d")))
       (Array.of_list
-         (Column.of_ints (Array.init rows (fun i -> i + 1))
+         (Column.of_ivec (Column.ivec_init rows (fun i -> i + 1))
          :: List.init cols (fun j ->
-                Column.of_floats
-                  (Array.init rows (fun i -> data.((i * cols) + j))))))
+                Column.of_fvec
+                  (Column.fvec_init rows (fun i -> data.((i * cols) + j))))))
   | v ->
     Errors.fail ~code:"non-relational" Errors.Exec
       "baseline returned a non-relational %s" (Interp.type_name v)

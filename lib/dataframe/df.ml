@@ -84,17 +84,17 @@ module Series = struct
   let length = Column.length
 
   let map_float f (c : Column.t) : Column.t =
-    Column.of_floats (Array.init (length c) (fun i -> f (Column.float_at c i)))
+    Column.of_fvec (Column.fvec_init (length c) (fun i -> f (Column.float_at c i)))
 
   let binop_num f_int f_float (a : Column.t) (b : Column.t) : Column.t =
     let n = length a in
     if length b <> n then err "series length mismatch";
     match (Column.int_reader a, Column.int_reader b) with
     | Some ga, Some gb when a.Column.ty <> TDate || b.Column.ty <> TDate ->
-      Column.of_ints (Array.init n (fun i -> f_int (ga i) (gb i)))
+      Column.of_ivec (Column.ivec_init n (fun i -> f_int (ga i) (gb i)))
     | _ ->
-      Column.of_floats
-        (Array.init n (fun i ->
+      Column.of_fvec
+        (Column.fvec_init n (fun i ->
              f_float (Column.float_at a i) (Column.float_at b i)))
 
     let add = binop_num ( + ) ( +. )
@@ -103,11 +103,10 @@ module Series = struct
 
   let div (a : Column.t) (b : Column.t) : Column.t =
     let n = length a in
-    Column.of_floats
-      (Array.init n (fun i -> Column.float_at a i /. Column.float_at b i))
+    Column.of_fvec
+      (Column.fvec_init n (fun i -> Column.float_at a i /. Column.float_at b i))
 
-  let scalar_of_value v ty n : Column.t =
-    Column.of_values ty (Array.make n v)
+  let scalar_of_value v ty n : Column.t = Column.const ty v n
 
   let broadcast (v : Value.t) n : Column.t =
     match v with
@@ -135,14 +134,16 @@ module Series = struct
       if x.Column.ty = TString && other_ty = TDate then
         match (Column.decode x).Column.data with
         | Column.S arr ->
-          Column.of_dates (Array.map Value.date_of_iso arr)
+          Column.of_ivec ~ty:TDate
+            (Column.ivec_init (Array.length arr) (fun i ->
+                 Value.date_of_iso arr.(i)))
         | _ -> x
       else x
     in
     let a = coerce a b.Column.ty and b = coerce b a.Column.ty in
     let stringish (c : Column.t) =
       match c.Column.data with
-      | Column.S _ | Column.D _ | Column.BD _ -> true
+      | Column.S _ | Column.D _ -> true
       | _ -> false
     in
     match (Column.codes_reader a, Column.codes_reader b) with
@@ -276,12 +277,12 @@ module Series = struct
            if b <= a then "" else String.sub s a (b - a)))
 
   let dt_year (c : Column.t) : Column.t =
-    Column.of_ints
-      (Array.init (length c) (fun i -> Value.year_of_days (Column.int_at c i)))
+    Column.of_ivec
+      (Column.ivec_init (length c) (fun i -> Value.year_of_days (Column.int_at c i)))
 
   let dt_month (c : Column.t) : Column.t =
-    Column.of_ints
-      (Array.init (length c) (fun i -> Value.month_of_days (Column.int_at c i)))
+    Column.of_ivec
+      (Column.ivec_init (length c) (fun i -> Value.month_of_days (Column.int_at c i)))
 
   let apply (f : Value.t -> Value.t) ty (c : Column.t) : Column.t =
     Column.of_values ty (Array.init (length c) (fun i -> f (Column.get c i)))
@@ -676,7 +677,7 @@ let of_matrix ?(prefix = "c") (m : Tensor.Dense.t) : t =
     create
       (List.init cols (fun j ->
            ( Printf.sprintf "%s%d" prefix j,
-             Column.of_floats (Array.init rows (fun i -> data.((i * cols) + j)))
+             Column.of_fvec (Column.fvec_init rows (fun i -> data.((i * cols) + j)))
            )))
   | Tensor.Dense.Vector v -> create [ (prefix ^ "0", Column.of_floats v) ]
   | Tensor.Dense.Scalar x ->

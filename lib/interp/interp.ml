@@ -280,17 +280,17 @@ and eval_binop env op a b =
       | Mult -> Df.Series.mul x y
       | Div -> Df.Series.div x y
       | Mod ->
-        Column.of_ints
-          (Array.init (Column.length x) (fun i ->
+        Column.of_ivec
+          (Column.ivec_init (Column.length x) (fun i ->
                let d = Column.int_at y i in
                if d = 0 then 0 else Column.int_at x i mod d))
       | Pow ->
-        Column.of_floats
-          (Array.init (Column.length x) (fun i ->
+        Column.of_fvec
+          (Column.fvec_init (Column.length x) (fun i ->
                Float.pow (Column.float_at x i) (Column.float_at y i)))
       | FloorDiv ->
-        Column.of_ints
-          (Array.init (Column.length x) (fun i ->
+        Column.of_ivec
+          (Column.ivec_init (Column.length x) (fun i ->
                int_of_float (Column.float_at x i /. Column.float_at y i)))
       | BitAnd | BitOr -> assert false
     in

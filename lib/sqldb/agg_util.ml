@@ -101,7 +101,7 @@ let update (spec : Plan.agg_spec) (acc : acc) (cols : Column.t array) row =
         | Sql_ast.Count | Sql_ast.CountStar -> ()
         | Sql_ast.Sum | Sql_ast.Avg -> (
           match c.Column.data with
-          | Column.I _ | Column.BI _ -> (
+          | Column.I _ -> (
             let x = Column.int_at c row in
             acc.sumi <- acc.sumi + x;
             match spec.fn with
@@ -273,27 +273,27 @@ let dense_create (spec : Plan.agg_spec) (cols : Column.t array) ~(card : int)
     | Some i -> (
       match (spec.fn, cols.(i).Column.data) with
       | (Sql_ast.Count | Sql_ast.CountStar), _ -> Some (DCount (Array.make card 0))
-      | Sql_ast.Sum, (Column.I _ | Column.BI _) when spec.out_ty = TInt ->
+      | Sql_ast.Sum, Column.I _ when spec.out_ty = TInt ->
         Some (DSumI { count = Array.make card 0; sum = Array.make card 0 })
-      | Sql_ast.Sum, (Column.F _ | Column.BF _) when spec.out_ty <> TInt ->
+      | Sql_ast.Sum, Column.F _ when spec.out_ty <> TInt ->
         Some
           (DSumF
              { count = Array.make card 0;
                sum = Array.make card 0.;
                comp = Array.make card 0. })
-      | Sql_ast.Avg, (Column.I _ | Column.F _ | Column.BI _ | Column.BF _) ->
+      | Sql_ast.Avg, (Column.I _ | Column.F _) ->
         Some
           (DSumF
              { count = Array.make card 0;
                sum = Array.make card 0.;
                comp = Array.make card 0. })
-      | (Sql_ast.Min | Sql_ast.Max), (Column.I _ | Column.BI _) ->
+      | (Sql_ast.Min | Sql_ast.Max), Column.I _ ->
         Some
           (DMinMaxI
              { count = Array.make card 0;
                best = Array.make card 0;
                is_min = spec.fn = Sql_ast.Min })
-      | (Sql_ast.Min | Sql_ast.Max), (Column.F _ | Column.BF _) ->
+      | (Sql_ast.Min | Sql_ast.Max), Column.F _ ->
         Some
           (DMinMaxF
              { count = Array.make card 0;

@@ -613,9 +613,6 @@ let view_infos (t : t) : view_info list =
         vi_recomputes = recomputes })
     (Matview.list t.views)
 
-(* PYTOND_TIMING=1 prints a parse/plan vs execute split to stderr. *)
-let timing = Sys.getenv_opt "PYTOND_TIMING" <> None
-
 (** Execute [sql] on [backend]. [timeout_ms] / [row_budget] install a
     cooperative {!Guard} for the duration of the call; on expiry the query
     unwinds with {!Guard.Trip}. [owner] / [cache_quota] attribute any new
@@ -659,24 +656,18 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
     | _ -> plan_on cat sql
   in
   let exec bq () =
-    let t1 = if timing then Unix.gettimeofday () else 0. in
-    let r =
-      match backend with
-      | Vectorized -> Exec_vectorized.run_query ~threads cat bq
-      | Compiled -> Exec_compiled.run_query ~threads cat bq
-      | Lingo ->
-        if
-          plan_has_window bq.Plan.main
-          || List.exists (fun (_, p) -> plan_has_window p) bq.Plan.ctes
-        then
-          raise
-            (Unsupported
-               "lingodb-sim: window functions (row_number) not supported")
-        else Exec_compiled.run_query ~threads cat bq
-    in
-    if timing then
-      Printf.eprintf "[timing] exec %.4fs\n%!" (Unix.gettimeofday () -. t1);
-    r
+    match backend with
+    | Vectorized -> Exec_vectorized.run_query ~threads cat bq
+    | Compiled -> Exec_compiled.run_query ~threads cat bq
+    | Lingo ->
+      if
+        plan_has_window bq.Plan.main
+        || List.exists (fun (_, p) -> plan_has_window p) bq.Plan.ctes
+      then
+        raise
+          (Unsupported
+             "lingodb-sim: window functions (row_number) not supported")
+      else Exec_compiled.run_query ~threads cat bq
   in
   let guarded f =
     Guard.with_guard ?timeout_ms ?row_budget (fun () ->
@@ -687,12 +678,7 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
   (* Under fault injection a cached result would mask the very fault paths
      being exercised, so the cache stands down. *)
   if not (!cache_enabled && not (Faults.armed ())) then
-    guarded (fun () ->
-        let t0 = if timing then Unix.gettimeofday () else 0. in
-        let bq = plan_or_bind () in
-        if timing then
-          Printf.eprintf "[timing] plan %.4fs\n%!" (Unix.gettimeofday () -. t0);
-        exec bq ())
+    guarded (fun () -> exec (plan_or_bind ()) ())
   else begin
     let key = Printf.sprintf "%s|%d|%s" (backend_name backend) threads ckey in
     (* Lookup under lock; execution outside it (two racing misses both

@@ -3,6 +3,7 @@
 
 open Value
 open Plan
+module A1 = Bigarray.Array1
 
 (* ------------------------------------------------------------------ *)
 (* LIKE                                                               *)
@@ -258,16 +259,10 @@ let dict_row_pred (c : Column.t) (f : string -> bool) : (int -> bool) option =
     let tbl = Array.map f d.Column.values in
     Some
       (match c.Column.nulls with
-      | None -> fun row -> tbl.(codes.(row))
-      | Some m -> fun row -> (not (Bitset.get m row)) && tbl.(codes.(row)))
-  | Column.BD (codes, d) ->
-    let tbl = Array.map f d.Column.values in
-    Some
-      (match c.Column.nulls with
-      | None -> fun row -> tbl.(Bigarray.Array1.get codes row)
+      | None -> fun row -> tbl.(A1.unsafe_get codes row)
       | Some m ->
         fun row ->
-          (not (Bitset.get m row)) && tbl.(Bigarray.Array1.get codes row))
+          (not (Bitset.get m row)) && tbl.(A1.unsafe_get codes row))
   | _ -> None
 
 (* Same table, materialized as a full bool column (vectorized executor). *)
@@ -306,17 +301,8 @@ let dict_eq_pred (c : Column.t) (k : string) ~(negated : bool) :
     let body =
       match Column.dict_find d k with
       | Some code ->
-        if negated then fun row -> codes.(row) <> code
-        else fun row -> codes.(row) = code
-      | None -> fun _ -> negated
-    in
-    Some (with_null_check c body)
-  | Column.BD (codes, d) ->
-    let body =
-      match Column.dict_find d k with
-      | Some code ->
-        if negated then fun row -> Bigarray.Array1.get codes row <> code
-        else fun row -> Bigarray.Array1.get codes row = code
+        if negated then fun row -> A1.unsafe_get codes row <> code
+        else fun row -> A1.unsafe_get codes row = code
       | None -> fun _ -> negated
     in
     Some (with_null_check c body)
@@ -356,22 +342,19 @@ let prefix_rank_range (d : Column.dict) (prefix : string) : int * int =
 
 let dict_prefix_pred (c : Column.t) (prefix : string) ~(negated : bool) :
     (int -> bool) option =
-  let make codes_at (d : Column.dict) =
+  match c.Column.data with
+  | Column.D (codes, d) ->
     let rank = d.Column.rank in
     let lo, hi = prefix_rank_range d prefix in
     let body =
       if negated then fun row ->
-        let r = rank.(codes_at row) in
+        let r = rank.(A1.unsafe_get codes row) in
         r < lo || r >= hi
       else fun row ->
-        let r = rank.(codes_at row) in
+        let r = rank.(A1.unsafe_get codes row) in
         r >= lo && r < hi
     in
     Some (with_null_check c body)
-  in
-  match c.Column.data with
-  | Column.D (codes, d) -> make (fun row -> codes.(row)) d
-  | Column.BD (codes, d) -> make (Bigarray.Array1.get codes) d
   | _ -> None
 
 (* Code-direct string predicate dispatch shared by both executors:
@@ -410,23 +393,18 @@ let rec compile_pred (cols : Column.t array) (e : pexpr) : int -> bool =
     let c = cols.(i) in
     let test = cmp_test op in
     match (c.Column.data, lit) with
-    | (Column.D _ | Column.BD _), VString k -> (
+    | Column.D _, VString k -> (
       match dict_cmp_pred c op k test with
       | Some f -> f
       | None -> fallback e)
     | _ when Column.has_nulls c -> fallback e
-    | Column.I a, (VInt k | VDate k) -> fun row -> test (compare a.(row) k)
-    | Column.F a, VFloat k -> fun row -> test (compare a.(row) k)
-    | Column.F a, VInt k ->
+    | Column.I v, (VInt k | VDate k) ->
+      fun row -> test (Int.compare (A1.unsafe_get v row) k)
+    | Column.F v, VFloat k ->
+      fun row -> test (Float.compare (A1.unsafe_get v row) k)
+    | Column.F v, VInt k ->
       let k = float_of_int k in
-      fun row -> test (compare a.(row) k)
-    | Column.BI v, (VInt k | VDate k) ->
-      fun row -> test (compare (Bigarray.Array1.get v row) k)
-    | Column.BF v, VFloat k ->
-      fun row -> test (compare (Bigarray.Array1.get v row) k)
-    | Column.BF v, VInt k ->
-      let k = float_of_int k in
-      fun row -> test (compare (Bigarray.Array1.get v row) k)
+      fun row -> test (Float.compare (A1.unsafe_get v row) k)
     | Column.S a, VString k -> fun row -> test (String.compare a.(row) k)
     | _ -> fallback e)
   | PBin (((Sql_ast.Eq | Ne | Lt | Le | Gt | Ge) as op), PCol i, PCol j) -> (
@@ -434,41 +412,28 @@ let rec compile_pred (cols : Column.t array) (e : pexpr) : int -> bool =
     let test = cmp_test op in
     match (ca.Column.data, cb.Column.data) with
     | _ when Column.has_nulls ca || Column.has_nulls cb -> fallback e
-    | Column.I x, Column.I y -> fun row -> test (Int.compare x.(row) y.(row))
+    | Column.I x, Column.I y ->
+      fun row -> test (Int.compare (A1.unsafe_get x row) (A1.unsafe_get y row))
     | Column.F x, Column.F y ->
-      fun row -> test (Float.compare x.(row) y.(row))
+      fun row ->
+        test (Float.compare (A1.unsafe_get x row) (A1.unsafe_get y row))
     | Column.S x, Column.S y ->
       fun row -> test (String.compare x.(row) y.(row))
     | Column.D (x, dx), Column.D (y, dy) when dx == dy ->
       let rank = dx.Column.rank in
-      fun row -> test (Int.compare rank.(x.(row)) rank.(y.(row)))
+      fun row ->
+        test (Int.compare rank.(A1.unsafe_get x row) rank.(A1.unsafe_get y row))
     | Column.D (x, dx), Column.D (y, dy) ->
       let rx, ry = Column.cross_ranks dx dy in
-      fun row -> test (Int.compare rx.(x.(row)) ry.(y.(row)))
+      fun row ->
+        test (Int.compare rx.(A1.unsafe_get x row) ry.(A1.unsafe_get y row))
     | Column.D (x, dx), Column.S y ->
       let vx = dx.Column.values in
-      fun row -> test (String.compare vx.(x.(row)) y.(row))
+      fun row -> test (String.compare vx.(A1.unsafe_get x row) y.(row))
     | Column.S x, Column.D (y, dy) ->
       let vy = dy.Column.values in
-      fun row -> test (String.compare x.(row) vy.(y.(row)))
-    | _ -> (
-      (* bigarray backings (and mixed bigarray/legacy pairs of one type)
-         dispatch through readers: same comparisons, one indirection *)
-      match (Column.int_reader ca, Column.int_reader cb) with
-      | Some gx, Some gy -> fun row -> test (Int.compare (gx row) (gy row))
-      | _ -> (
-        match (Column.float_reader ca, Column.float_reader cb) with
-        | Some gx, Some gy ->
-          fun row -> test (Float.compare (gx row) (gy row))
-        | _ -> (
-          match (Column.codes_reader ca, Column.codes_reader cb) with
-          | Some (gx, dx), Some (gy, dy) when dx == dy ->
-            let rank = dx.Column.rank in
-            fun row -> test (Int.compare rank.(gx row) rank.(gy row))
-          | Some (gx, dx), Some (gy, dy) ->
-            let rx, ry = Column.cross_ranks dx dy in
-            fun row -> test (Int.compare rx.(gx row) ry.(gy row))
-          | _ -> fallback e))))
+      fun row -> test (String.compare x.(row) vy.(A1.unsafe_get y row))
+    | _ -> fallback e)
   | PLike (PCol i, pattern, negated) -> (
     match dict_like_pred cols.(i) pattern ~negated with
     | Some f -> f
@@ -552,20 +517,21 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
   and arith op a b =
     let ca = eval a and cb = eval b in
     let nulls = merged_nulls ca cb in
+    let float_op =
+      match op with
+      | Sql_ast.Add -> ( +. )
+      | Sql_ast.Sub -> ( -. )
+      | Sql_ast.Mul -> ( *. )
+      | _ -> ( /. )
+    in
+    let floats out = { Column.ty = TFloat; data = Column.F out; nulls } in
     match (ca.Column.data, cb.Column.data, op) with
     | Column.F x, Column.F y, _ ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( +. )
-        | Sql_ast.Sub -> ( -. )
-        | Sql_ast.Mul -> ( *. )
-        | _ -> ( /. )
-      in
-      let out = Array.make n 0. in
+      let out = Column.fvec_create n in
       for i = 0 to n - 1 do
-        out.(i) <- f x.(i) y.(i)
+        A1.unsafe_set out i (float_op (A1.unsafe_get x i) (A1.unsafe_get y i))
       done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
+      floats out
     | Column.I x, Column.I y, (Sql_ast.Add | Sub | Mul) ->
       let f =
         match op with
@@ -573,9 +539,9 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
         | Sql_ast.Sub -> ( - )
         | _ -> ( * )
       in
-      let out = Array.make n 0 in
+      let out = Column.ivec_create n in
       for i = 0 to n - 1 do
-        out.(i) <- f x.(i) y.(i)
+        A1.unsafe_set out i (f (A1.unsafe_get x i) (A1.unsafe_get y i))
       done;
       let ty =
         match (ca.Column.ty, cb.Column.ty, op) with
@@ -584,75 +550,27 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
       in
       { Column.ty; data = Column.I out; nulls }
     | Column.I x, Column.I y, Sql_ast.Div ->
-      let out = Array.make n 0. in
+      let out = Column.fvec_create n in
       for i = 0 to n - 1 do
-        out.(i) <- float_of_int x.(i) /. float_of_int y.(i)
+        A1.unsafe_set out i
+          (float_of_int (A1.unsafe_get x i) /. float_of_int (A1.unsafe_get y i))
       done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
+      floats out
     | Column.I x, Column.F y, _ ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( +. )
-        | Sql_ast.Sub -> ( -. )
-        | Sql_ast.Mul -> ( *. )
-        | _ -> ( /. )
-      in
-      let out = Array.make n 0. in
+      let out = Column.fvec_create n in
       for i = 0 to n - 1 do
-        out.(i) <- f (float_of_int x.(i)) y.(i)
+        A1.unsafe_set out i
+          (float_op (float_of_int (A1.unsafe_get x i)) (A1.unsafe_get y i))
       done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
+      floats out
     | Column.F x, Column.I y, _ ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( +. )
-        | Sql_ast.Sub -> ( -. )
-        | Sql_ast.Mul -> ( *. )
-        | _ -> ( /. )
-      in
-      let out = Array.make n 0. in
+      let out = Column.fvec_create n in
       for i = 0 to n - 1 do
-        out.(i) <- f x.(i) (float_of_int y.(i))
+        A1.unsafe_set out i
+          (float_op (A1.unsafe_get x i) (float_of_int (A1.unsafe_get y i)))
       done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
-    | _ -> (
-      (* bigarray operands (and bigarray/legacy mixes) run the same typed
-         loops through readers; outputs are intermediates and stay on the
-         GC heap *)
-      match (Column.int_reader ca, Column.int_reader cb, op) with
-      | Some gx, Some gy, (Sql_ast.Add | Sub | Mul) ->
-        let f =
-          match op with
-          | Sql_ast.Add -> ( + )
-          | Sql_ast.Sub -> ( - )
-          | _ -> ( * )
-        in
-        let out = Array.make n 0 in
-        for i = 0 to n - 1 do
-          out.(i) <- f (gx i) (gy i)
-        done;
-        let ty =
-          match (ca.Column.ty, cb.Column.ty, op) with
-          | TDate, TInt, _ | TInt, TDate, Sql_ast.Add -> TDate
-          | _ -> TInt
-        in
-        { Column.ty; data = Column.I out; nulls }
-      | _ -> (
-        match (Column.num_reader ca, Column.num_reader cb) with
-        | Some gx, Some gy ->
-          let f =
-            match op with
-            | Sql_ast.Add -> ( +. )
-            | Sql_ast.Sub -> ( -. )
-            | Sql_ast.Mul -> ( *. )
-            | _ -> ( /. )
-          in
-          let out = Array.make n 0. in
-          for i = 0 to n - 1 do
-            out.(i) <- f (gx i) (gy i)
-          done;
-          { Column.ty = TFloat; data = Column.F out; nulls }
-        | _ -> fallback (PBin (op, a, b))))
+      floats out
+    | _ -> fallback (PBin (op, a, b))
   and cmp_cols op ca cb =
     let nulls = merged_nulls ca cb in
     let test = cmp_test op in
@@ -660,11 +578,23 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
     (match (ca.Column.data, cb.Column.data) with
     | Column.I x, Column.I y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) y.(i))
+        out.(i) <- test (Int.compare (A1.unsafe_get x i) (A1.unsafe_get y i))
       done
     | Column.F x, Column.F y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) y.(i))
+        out.(i) <- test (Float.compare (A1.unsafe_get x i) (A1.unsafe_get y i))
+      done
+    | Column.I x, Column.F y ->
+      for i = 0 to n - 1 do
+        out.(i) <-
+          test
+            (Float.compare (float_of_int (A1.unsafe_get x i)) (A1.unsafe_get y i))
+      done
+    | Column.F x, Column.I y ->
+      for i = 0 to n - 1 do
+        out.(i) <-
+          test
+            (Float.compare (A1.unsafe_get x i) (float_of_int (A1.unsafe_get y i)))
       done
     | Column.S x, Column.S y ->
       for i = 0 to n - 1 do
@@ -675,67 +605,37 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
          string comparison entirely. *)
       let rank = dx.Column.rank in
       for i = 0 to n - 1 do
-        out.(i) <- test (compare rank.(x.(i)) rank.(y.(i)))
+        out.(i) <-
+          test (Int.compare rank.(A1.unsafe_get x i) rank.(A1.unsafe_get y i))
       done
     | Column.D (x, dx), Column.D (y, dy) ->
       (* Distinct dictionaries: merge-rank once, then compare ints. *)
       let rx, ry = Column.cross_ranks dx dy in
       for i = 0 to n - 1 do
-        out.(i) <- test (Int.compare rx.(x.(i)) ry.(y.(i)))
+        out.(i) <-
+          test (Int.compare rx.(A1.unsafe_get x i) ry.(A1.unsafe_get y i))
       done
     | Column.D (x, dx), Column.S y ->
       let vx = dx.Column.values in
       for i = 0 to n - 1 do
-        out.(i) <- test (String.compare vx.(x.(i)) y.(i))
+        out.(i) <- test (String.compare vx.(A1.unsafe_get x i) y.(i))
       done
     | Column.S x, Column.D (y, dy) ->
       let vy = dy.Column.values in
       for i = 0 to n - 1 do
-        out.(i) <- test (String.compare x.(i) vy.(y.(i)))
+        out.(i) <- test (String.compare x.(i) vy.(A1.unsafe_get y i))
       done
     | Column.B x, Column.B y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) y.(i))
+        out.(i) <- test (Bool.compare x.(i) y.(i))
       done
-    | Column.I x, Column.F y ->
+    | _ ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare (float_of_int x.(i)) y.(i))
-      done
-    | Column.F x, Column.I y ->
-      for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) (float_of_int y.(i)))
-      done
-    | _ -> (
-      match (Column.int_reader ca, Column.int_reader cb) with
-      | Some gx, Some gy ->
-        for i = 0 to n - 1 do
-          out.(i) <- test (Int.compare (gx i) (gy i))
-        done
-      | _ -> (
-        match (Column.num_reader ca, Column.num_reader cb) with
-        | Some gx, Some gy ->
-          for i = 0 to n - 1 do
-            out.(i) <- test (Float.compare (gx i) (gy i))
-          done
-        | _ -> (
-          match (Column.codes_reader ca, Column.codes_reader cb) with
-          | Some (gx, dx), Some (gy, dy) when dx == dy ->
-            let rank = dx.Column.rank in
-            for i = 0 to n - 1 do
-              out.(i) <- test (Int.compare rank.(gx i) rank.(gy i))
-            done
-          | Some (gx, dx), Some (gy, dy) ->
-            let rx, ry = Column.cross_ranks dx dy in
-            for i = 0 to n - 1 do
-              out.(i) <- test (Int.compare rx.(gx i) ry.(gy i))
-            done
-          | _ ->
-            for i = 0 to n - 1 do
-              out.(i) <-
-                (match apply_bin op (Column.get ca i) (Column.get cb i) with
-                | VBool b -> b
-                | _ -> false)
-            done))));
+        out.(i) <-
+          (match apply_bin op (Column.get ca i) (Column.get cb i) with
+          | VBool b -> b
+          | _ -> false)
+      done);
     (* Null in either operand makes the comparison false. *)
     (match nulls with
     | None -> ()

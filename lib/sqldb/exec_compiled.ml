@@ -564,7 +564,7 @@ and materialize ctx (p : plan) : Relation.t =
     in
     if Array.length schema = 0 then
       { Relation.names = [| "dummy" |];
-        cols = [| Column.of_ints (Array.make (List.length rows) 0) |] }
+        cols = [| Column.const Value.TInt (Value.VInt 0) (List.length rows) |] }
     else { Relation.names = Array.map fst schema; cols }
   | Aggregate (sub, groups, specs) -> run_aggregate ctx p sub groups specs
   | Sort (sub, keys) ->
@@ -599,10 +599,10 @@ and materialize ctx (p : plan) : Relation.t =
       if keys = [] then Array.init n Fun.id
       else Exec_vectorized.sort_indices r keys
     in
-    let ranks = Array.make n 0 in
-    Array.iteri (fun pos row -> ranks.(row) <- pos + 1) order;
     { Relation.names = Array.append r.Relation.names [| name |];
-      cols = Array.append r.Relation.cols [| Column.of_ints ranks |] }
+      cols =
+        Array.append r.Relation.cols
+          [| Column.of_ivec (Exec_vectorized.ranks_of order) |] }
   | Join { kind = JRight | JFull; _ } ->
     (* Rare in generated SQL; reuse the vectorized implementation. *)
     let vctx =

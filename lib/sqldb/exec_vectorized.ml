@@ -183,6 +183,12 @@ let filter_sel ~threads cols (sel : int array) pred =
 (* Sorting                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Window rank column: [order.(pos)] is the row ranked [pos + 1]. *)
+let ranks_of (order : int array) : Column.ivec =
+  let ranks = Column.ivec_create (Array.length order) in
+  Array.iteri (fun pos row -> Bigarray.Array1.set ranks row (pos + 1)) order;
+  ranks
+
 let row_comparators (r : Relation.t) (keys : (int * bool) list) :
     (int -> int -> int) list =
   List.map
@@ -190,24 +196,26 @@ let row_comparators (r : Relation.t) (keys : (int * bool) list) :
       let c = r.Relation.cols.(i) in
       let cmp =
         match c.Column.data with
-        | Column.I a -> fun x y -> compare a.(x) a.(y)
-        | Column.BI v ->
+        | Column.I v ->
           fun x y ->
-            compare (Bigarray.Array1.unsafe_get v x) (Bigarray.Array1.unsafe_get v y)
-        | Column.F a -> fun x y -> Float.compare a.(x) a.(y)
-        | Column.BF v ->
+            Int.compare
+              (Bigarray.Array1.unsafe_get v x)
+              (Bigarray.Array1.unsafe_get v y)
+        | Column.F v ->
           fun x y ->
             Float.compare
               (Bigarray.Array1.unsafe_get v x)
               (Bigarray.Array1.unsafe_get v y)
         | Column.S a -> fun x y -> String.compare a.(x) a.(y)
         | Column.B a -> fun x y -> compare a.(x) a.(y)
-        | Column.D _ | Column.BD _ ->
+        | Column.D (codes, d) ->
           (* Dictionary column: precomputed lexicographic rank replaces
              string comparison in the sort loop. *)
-          let codes, d = Option.get (Column.codes_reader c) in
           let rank = d.Column.rank in
-          fun x y -> compare rank.(codes x) rank.(codes y)
+          fun x y ->
+            Int.compare
+              rank.(Bigarray.Array1.unsafe_get codes x)
+              rank.(Bigarray.Array1.unsafe_get codes y)
       in
       let cmp =
         if Column.has_nulls c then fun x y ->
@@ -306,24 +314,9 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
          Downstream operators are positional, so the partition-major pair
          streams are scattered back into global probe order afterwards —
          output must be byte-identical to the single-table path. *)
-      let dbg_phase =
-        if Sys.getenv_opt "PYTOND_TIMING_RADIX" = None then fun _ -> ()
-        else begin
-          let last = ref (Unix.gettimeofday ()) in
-          let slast = ref (Parallel.saved_time ()) in
-          fun name ->
-            let t = Unix.gettimeofday () and s = Parallel.saved_time () in
-            Printf.eprintf "[radix] %-12s %.4fs wall %.4fs modeled\n%!" name
-              (t -. !last)
-              (t -. !last -. (s -. !slast));
-            last := t;
-            slast := s
-        end
-      in
       let rparts =
         Radix.partition ~threads ~nparts ~hash:rhash ~base:rbase nr
       in
-      dbg_phase "rpart";
       (* probe partitions hold logical positions, not base rows: a sort's
          selection vector need not be monotonic, so only the position gives
          the output order *)
@@ -332,7 +325,6 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
           ~hash:(fun pos -> lhash (lbase pos))
           ~base:Fun.id nl
       in
-      dbg_phase "lpart";
       (* per-position match counts, written during the probe: each position
          lives in exactly one partition and the store is absolute, so the
          writes are disjoint across workers and idempotent under chunk
@@ -390,10 +382,8 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
                  lp;
                (!pb, !rb, !len)))
       in
-      dbg_phase "probe";
       (* prefix sum: cnt.(pos) = first output slot of pos's matches *)
       Parallel.prefix_sum ~threads cnt;
-      dbg_phase "prefix";
       let total = cnt.(nl) in
       let li = Array.make total 0 and ri = Array.make total 0 in
       (* parallel placement: a position's matches are contiguous in its
@@ -421,7 +411,6 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
                   i := !j
                 done)
               parts));
-      dbg_phase "place";
       (li, ri)
     | None ->
       let tbl =
@@ -476,41 +465,11 @@ let apply_residual ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri
 (* Executor                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let dbg_nodes = Sys.getenv_opt "PYTOND_TIMING_NODES" <> None
-
-let node_name (p : plan) =
-  match p.node with
-  | Scan n -> "Scan " ^ n
-  | PValues _ -> "Values"
-  | Filter _ -> "Filter"
-  | Project _ -> "Project"
-  | Join _ -> "Join"
-  | SemiJoin _ -> "SemiJoin"
-  | Aggregate _ -> "Aggregate"
-  | Sort _ -> "Sort"
-  | Distinct _ -> "Distinct"
-  | Window _ -> "Window"
-  | LimitN _ -> "Limit"
-
 (* Every operator boundary is a cooperative guard checkpoint: a tripped
    deadline unwinds from the next node instead of hanging the query. *)
 let rec run_sel (ctx : ctx) (p : plan) : srel =
   Guard.check ();
-  let r =
-    if dbg_nodes then begin
-      let t0 = Unix.gettimeofday () in
-      let s0 = Parallel.saved_time () in
-      let r = run_sel_inner ctx p in
-      let wall = Unix.gettimeofday () -. t0 in
-      let saved = Parallel.saved_time () -. s0 in
-      (* modeled = wall minus the time credited to parallel workers; this is
-         the figure the benchmark harness reports *)
-      Printf.eprintf "[node] %-18s %.4fs wall %.4fs modeled (%d rows)\n%!"
-        (node_name p) wall (wall -. saved) (srel_nrows r);
-      r
-    end
-    else run_sel_inner ctx p
-  in
+  let r = run_sel_inner ctx p in
   (match ctx.on_rows with Some f -> f p (srel_nrows r) | None -> ());
   r
 
@@ -539,7 +498,7 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
       if Array.length schema = 0 then
         (* zero-column relation with [n] rows is modelled as one int col *)
         { Relation.names = [| "dummy" |];
-          cols = [| Column.of_ints (Array.make n 0) |] }
+          cols = [| Column.const Value.TInt (Value.VInt 0) n |] }
       else
         { Relation.names = Array.map fst schema; cols }
     in
@@ -645,11 +604,9 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let r = materialize (run_sel ctx sub) in
     let n = Relation.n_rows r in
     let order = if keys = [] then Array.init n Fun.id else sort_indices r keys in
-    let ranks = Array.make n 0 in
-    Array.iteri (fun pos row -> ranks.(row) <- pos + 1) order;
     srel_all
       { Relation.names = Array.append r.Relation.names [| snd3 p |];
-        cols = Array.append r.Relation.cols [| Column.of_ints ranks |] }
+        cols = Array.append r.Relation.cols [| Column.of_ivec (ranks_of order) |] }
 
 and snd3 (p : plan) =
   match p.node with Window (_, _, name) -> name | _ -> "id"
@@ -1080,15 +1037,9 @@ and run (ctx : ctx) (p : plan) : Relation.t = materialize (run_sel ctx p)
 let run_query ?(threads = 1) ?on_rows (catalog : Catalog.t) (bq : bound_query)
     : Relation.t =
   let ctx = { catalog; ctes = Hashtbl.create 8; threads; on_rows } in
-  let dbg = Sys.getenv_opt "PYTOND_TIMING" <> None in
   List.iter
     (fun (name, plan) ->
-      let t0 = if dbg then Unix.gettimeofday () else 0. in
       let r = run ctx plan in
-      if dbg then
-        Printf.eprintf "[timing]   cte %s: %.4fs (%d rows)\n%!" name
-          (Unix.gettimeofday () -. t0)
-          (Relation.n_rows r);
       (* apply CTE column renames from the plan schema *)
       let r = Relation.rename r (Array.map fst plan.schema) in
       Hashtbl.replace ctx.ctes name r)

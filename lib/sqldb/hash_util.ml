@@ -48,13 +48,14 @@ let mixed_radix ~cross_chunk (cs : Column.t list) :
       | Some m -> fun row -> if Bitset.get m row then 0 else f row
     in
     match c.Column.data with
-    | Column.D _ | Column.BD _ ->
-      let codes, d = Option.get (Column.codes_reader c) in
-      Some (nullable (fun row -> codes row + 1), Column.dict_size d + 1)
+    | Column.D (codes, d) ->
+      Some
+        ( nullable (fun row -> Bigarray.Array1.unsafe_get codes row + 1),
+          Column.dict_size d + 1 )
     | Column.B a ->
       Some (nullable (fun row -> if a.(row) then 2 else 1), 3)
-    | (Column.I _ | Column.BI _) when not cross_chunk ->
-      let get = Option.get (Column.int_reader c) in
+    | Column.I v when not cross_chunk ->
+      let get row = Bigarray.Array1.unsafe_get v row in
       let n = Column.length c in
       if n = 0 then Some ((fun _ -> 0), 2)
       else begin
@@ -131,17 +132,13 @@ let key_fn ?(local = false) ?(cross_chunk = false) ~(null_as_key : bool)
           else Some (f row)
     in
     match c.Column.data with
-    | Column.I _ | Column.BI _ ->
-      let get = Option.get (Column.int_reader c) in
-      with_nulls (fun row -> KInt (get row))
+    | Column.I v -> with_nulls (fun row -> KInt (Bigarray.Array1.unsafe_get v row))
     | Column.S a -> with_nulls (fun row -> KStr a.(row))
-    | (Column.D _ | Column.BD _) when local ->
-      let codes, _ = Option.get (Column.codes_reader c) in
-      with_nulls (fun row -> KInt (codes row))
-    | Column.D _ | Column.BD _ ->
-      let codes, d = Option.get (Column.codes_reader c) in
+    | Column.D (codes, _) when local ->
+      with_nulls (fun row -> KInt (Bigarray.Array1.unsafe_get codes row))
+    | Column.D (codes, d) ->
       let values = d.Column.values in
-      with_nulls (fun row -> KStr values.(codes row))
+      with_nulls (fun row -> KStr values.(Bigarray.Array1.unsafe_get codes row))
     | _ ->
       fun row ->
         let v = Column.get c row in
@@ -374,20 +371,20 @@ let row_hash (cols : Column.t array) (idxs : int list) : (int -> int) option =
       | Some m -> fun row -> if Bitset.get m row then -1 else f row
     in
     match c.Column.data with
-    | Column.I _ | Column.BI _ ->
-      let get = Option.get (Column.int_reader c) in
-      Some (nullable (fun row -> bloom_mix (get row) land max_int))
+    | Column.I v ->
+      Some
+        (nullable (fun row ->
+             bloom_mix (Bigarray.Array1.unsafe_get v row) land max_int))
     | Column.S a ->
       Some (nullable (fun row -> bloom_mix (Hashtbl.hash a.(row)) land max_int))
-    | Column.D _ | Column.BD _ ->
-      let codes, d = Option.get (Column.codes_reader c) in
+    | Column.D (codes, d) ->
       let hcode =
         Array.map
           (fun s -> bloom_mix (Hashtbl.hash s) land max_int)
           d.Column.values
       in
-      Some (nullable (fun row -> hcode.(codes row)))
-    | Column.B _ | Column.F _ | Column.BF _ -> None
+      Some (nullable (fun row -> hcode.(Bigarray.Array1.unsafe_get codes row)))
+    | Column.B _ | Column.F _ -> None
   in
   match idxs with
   | [] -> None
@@ -430,18 +427,16 @@ let scan_test (t : table) (c : Column.t) : (int -> bool) option =
       | Some m -> fun row -> (not (Bitset.get m row)) && test row
     in
     (match c.Column.data with
-    | Column.I _ | Column.BI _ ->
-      let get = Option.get (Column.int_reader c) in
-      Some (not_null (fun row -> bloom_may b (get row)))
-    | Column.D _ | Column.BD _ ->
+    | Column.I v ->
+      Some (not_null (fun row -> bloom_may b (Bigarray.Array1.unsafe_get v row)))
+    | Column.D (codes, d) ->
       (* tri-state per-code memo: -1 unknown, 0 fail, 1 may-match; races
          between domains rewrite the same immediate value, which is safe *)
-      let codes, d = Option.get (Column.codes_reader c) in
       let values = d.Column.values in
       let memo = Array.make (Array.length values) (-1) in
       Some
         (not_null (fun row ->
-             let code = codes row in
+             let code = Bigarray.Array1.unsafe_get codes row in
              match memo.(code) with
              | -1 ->
                let r = bloom_may b (bloom_hash_key (KStr values.(code))) in
@@ -450,4 +445,4 @@ let scan_test (t : table) (c : Column.t) : (int -> bool) option =
              | v -> v = 1))
     | Column.S a ->
       Some (not_null (fun row -> bloom_may b (bloom_hash_key (KStr a.(row)))))
-    | Column.B _ | Column.F _ | Column.BF _ -> None)
+    | Column.B _ | Column.F _ -> None)

@@ -112,22 +112,6 @@ let fill_cmp_fvec (v : Column.fvec) (k : float) (tbl : string) : filler =
     Bytes.unsafe_set m j (String.unsafe_get tbl s)
   done
 
-let fill_cmp_iarr (a : int array) (k : int) (tbl : string) : filler =
- fun m ~lo ~len ->
-  for j = 0 to len - 1 do
-    let x = Array.unsafe_get a (lo + j) in
-    let s = 1 + Bool.to_int (x > k) - Bool.to_int (x < k) in
-    Bytes.unsafe_set m j (String.unsafe_get tbl s)
-  done
-
-let fill_cmp_farr (a : float array) (k : float) (tbl : string) : filler =
- fun m ~lo ~len ->
-  for j = 0 to len - 1 do
-    let x = Array.unsafe_get a (lo + j) in
-    let s = 1 + Bool.to_int (x > k) - Bool.to_int (x < k) in
-    Bytes.unsafe_set m j (String.unsafe_get tbl s)
-  done
-
 (* Per-code byte table for a dictionary leaf: [f] evaluated once per
    distinct value — the byte-rendered twin of {!Eval.dict_row_pred}. *)
 let code_table (d : Column.dict) (f : string -> bool) : Bytes.t =
@@ -144,12 +128,6 @@ let fill_codes_vec (codes : Column.ivec) (tbl : Bytes.t) : filler =
   for j = 0 to len - 1 do
     Bytes.unsafe_set m j
       (Bytes.unsafe_get tbl (Bigarray.Array1.unsafe_get codes (lo + j)))
-  done
-
-let fill_codes_arr (codes : int array) (tbl : Bytes.t) : filler =
- fun m ~lo ~len ->
-  for j = 0 to len - 1 do
-    Bytes.unsafe_set m j (Bytes.unsafe_get tbl (Array.unsafe_get codes (lo + j)))
   done
 
 (* Null rows of a filter leaf are always false (SQL three-valued logic in
@@ -245,8 +223,6 @@ let rec compile_mask (cols : Column.t array) (e : pexpr) : filler * bool =
   let dict_leaf (c : Column.t) (f : string -> bool) : (filler * bool) option =
     match c.Column.data with
     | Column.D (codes, d) ->
-      Some (with_nulls c (fill_codes_arr codes (code_table d f)), true)
-    | Column.BD (codes, d) ->
       Some (with_nulls c (fill_codes_vec codes (code_table d f)), true)
     | _ -> None
   in
@@ -256,46 +232,31 @@ let rec compile_mask (cols : Column.t array) (e : pexpr) : filler * bool =
     | None -> None
     | Some tbl -> (
       match (c.Column.data, lit) with
-      | Column.BI v, (Value.VInt k | Value.VDate k) ->
+      | Column.I v, (Value.VInt k | Value.VDate k) ->
         Some (with_nulls c (fill_cmp_ivec v k tbl), true)
-      | Column.I a, (Value.VInt k | Value.VDate k) ->
-        Some (with_nulls c (fill_cmp_iarr a k tbl), true)
-      | Column.BF v, Value.VFloat k ->
+      | Column.F v, Value.VFloat k ->
         Some (with_nulls c (fill_cmp_fvec v k tbl), true)
-      | Column.BF v, Value.VInt k ->
+      | Column.F v, Value.VInt k ->
         Some (with_nulls c (fill_cmp_fvec v (float_of_int k) tbl), true)
-      | Column.F a, Value.VFloat k ->
-        Some (with_nulls c (fill_cmp_farr a k tbl), true)
-      | Column.F a, Value.VInt k ->
-        Some (with_nulls c (fill_cmp_farr a (float_of_int k) tbl), true)
-      | (Column.D _ | Column.BD _), Value.VString k -> (
-        match Column.codes_reader c with
-        | None -> None
-        | Some (_, d) ->
-          (* mirror Eval.dict_cmp_pred: Eq/Ne resolve the literal through
-             the dictionary index; ordered compares evaluate per distinct *)
-          let tbl =
-            match op with
-            | Sql_ast.Eq | Sql_ast.Ne -> (
-              let negated = op = Sql_ast.Ne in
-              match Column.dict_find d k with
-              | Some code ->
-                code_table d (fun _ -> negated)
-                |> fun t ->
-                Bytes.set t code (if negated then '\000' else '\001');
-                t
-              | None -> code_table d (fun _ -> negated))
-            | _ ->
-              let test = Eval.cmp_test op in
-              code_table d (fun v -> test (String.compare v k))
-          in
-          let fill =
-            match c.Column.data with
-            | Column.D (codes, _) -> fill_codes_arr codes tbl
-            | Column.BD (codes, _) -> fill_codes_vec codes tbl
-            | _ -> assert false
-          in
-          Some (with_nulls c fill, true))
+      | Column.D (codes, d), Value.VString k ->
+        (* mirror Eval.dict_cmp_pred: Eq/Ne resolve the literal through
+           the dictionary index; ordered compares evaluate per distinct *)
+        let tbl =
+          match op with
+          | Sql_ast.Eq | Sql_ast.Ne -> (
+            let negated = op = Sql_ast.Ne in
+            match Column.dict_find d k with
+            | Some code ->
+              code_table d (fun _ -> negated)
+              |> fun t ->
+              Bytes.set t code (if negated then '\000' else '\001');
+              t
+            | None -> code_table d (fun _ -> negated))
+          | _ ->
+            let test = Eval.cmp_test op in
+            code_table d (fun v -> test (String.compare v k))
+        in
+        Some (with_nulls c (fill_codes_vec codes tbl), true)
       | _ -> None)
   in
   match e with
@@ -442,10 +403,8 @@ let rec compile_num (cols : Column.t array) (e : pexpr) : num option =
   match e with
   | PCol i -> (
     match cols.(i).Column.data with
-    | Column.BI v -> Some (NInt (fun r -> Bigarray.Array1.unsafe_get v r))
-    | Column.I a -> Some (NInt (fun r -> Array.unsafe_get a r))
-    | Column.BF v -> Some (NFloat (fun r -> Bigarray.Array1.unsafe_get v r))
-    | Column.F a -> Some (NFloat (fun r -> Array.unsafe_get a r))
+    | Column.I v -> Some (NInt (fun r -> Bigarray.Array1.unsafe_get v r))
+    | Column.F v -> Some (NFloat (fun r -> Bigarray.Array1.unsafe_get v r))
     | _ -> None)
   | PLit (Value.VInt k) | PLit (Value.VDate k) -> Some (NInt (fun _ -> k))
   | PLit (Value.VFloat x) -> Some (NFloat (fun _ -> x))

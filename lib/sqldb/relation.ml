@@ -51,19 +51,6 @@ let take t idx =
 let encode_strings ?max_distinct t =
   { t with cols = Array.map (Column.encode ?max_distinct) t.cols }
 
-(* Move numeric payloads (and dict codes) into bigarray backing; used at
-   catalog ingest so base tables scan unboxed. Column conversions are
-   independent, so with [threads] each is its own work item. *)
-let to_bigarray ?(threads = 1) t =
-  { t with
-    cols =
-      Array.of_list
-        (Parallel.map_list ~threads
-           (Array.to_list (Array.map (fun c () -> Column.to_bigarray c) t.cols))) }
-
-(* Back to GC-heap arrays (the PYTOND_BIGARRAY=0 path and tests). *)
-let to_legacy t = { t with cols = Array.map Column.to_legacy t.cols }
-
 (* Decode all dictionary columns back to raw strings (equivalence tests). *)
 let decode_strings t = { t with cols = Array.map Column.decode t.cols }
 

@@ -44,9 +44,11 @@ let canon_idents =
 
 (* Parameter-extraction context. [Normal] allows extraction; the others are
    the literal-required positions listed above. A frame is pushed per '('
-   and inherits its parent's context so e.g. an expression nested inside
-   ORDER BY stays literal, while SELECT/WHERE/... reset the current frame
-   back to Normal (an IN (SELECT ...) subquery is parameterized freely). *)
+   and per CASE (popped at its END) and inherits its parent's context so
+   e.g. an expression nested inside ORDER BY stays literal — and the
+   clause's context is back in force after the END, where an ordinal may
+   follow — while SELECT/WHERE/... reset the current frame back to Normal
+   (an IN (SELECT ...) subquery is parameterized freely). *)
 type clause = Normal | GroupOrder | Limit | Values | InList
 
 (* The fingerprint IS the plan-cache hot path: on a bind hit it is the only
@@ -181,8 +183,10 @@ let fingerprint (sql : string) : t =
          | "GROUP" | "ORDER" -> top () := GroupOrder
          | "LIMIT" -> top () := Limit
          | "VALUES" -> top () := Values
-         | "SELECT" | "FROM" | "WHERE" | "HAVING" | "ON" | "WHEN" | "THEN"
-         | "ELSE" | "UNION" -> top () := Normal
+         | "SELECT" | "FROM" | "WHERE" | "HAVING" | "ON" | "UNION" ->
+           top () := Normal
+         | "CASE" -> push !(top ())
+         | "END" -> pop ()
          | "IN" -> pending_in := true
          | "LIKE" -> after_like := true
          | _ -> ());

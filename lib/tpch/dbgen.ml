@@ -133,9 +133,11 @@ let date_hi = Value.date_of_iso "1998-08-02"
 (* Categorical column from a known domain: built dictionary-coded (no
    per-row string allocation) when encoding is enabled, raw strings when the
    PYTOND_NO_DICT toggle asks for the unencoded baseline. *)
-let coded (values : string array) (codes : int array) : Column.t =
+let coded (values : string array) (codes : Column.ivec) : Column.t =
   if Db.dict_encoding_enabled () then Column.of_coded values codes
-  else Column.of_strings (Array.map (fun c -> values.(c)) codes)
+  else
+    Column.of_strings
+      (Array.init (Bigarray.Array1.dim codes) (fun i -> values.(codes.{i})))
 
 type tables = {
   region : Relation.t;
@@ -148,31 +150,31 @@ type tables = {
   lineitem : Relation.t;
 }
 
-(* One generated chunk of orders plus its lineitem rows — plain unboxed
-   column arrays, concatenated across chunks afterwards. *)
+(* One generated chunk of orders plus its lineitem rows — column vectors,
+   concatenated across chunks afterwards. *)
 type order_chunk = {
-  oc_cust : int array;
-  oc_date : int array;
-  oc_prio : int array;
-  oc_clerk : int array;
+  oc_cust : Column.ivec;
+  oc_date : Column.ivec;
+  oc_prio : Column.ivec;
+  oc_clerk : Column.ivec;
   oc_comment : string array;
-  oc_total : float array;
-  oc_status : int array;
-  lc_ord : int array;
-  lc_part : int array;
-  lc_supp : int array;
-  lc_line : int array;
-  lc_qty : float array;
-  lc_price : float array;
-  lc_disc : float array;
-  lc_tax : float array;
-  lc_rflag : int array;
-  lc_lstat : int array;
-  lc_ship : int array;
-  lc_commit : int array;
-  lc_receipt : int array;
-  lc_instr : int array;
-  lc_mode : int array;
+  oc_total : Column.fvec;
+  oc_status : Column.ivec;
+  lc_ord : Column.ivec;
+  lc_part : Column.ivec;
+  lc_supp : Column.ivec;
+  lc_line : Column.ivec;
+  lc_qty : Column.fvec;
+  lc_price : Column.fvec;
+  lc_disc : Column.fvec;
+  lc_tax : Column.fvec;
+  lc_rflag : Column.ivec;
+  lc_lstat : Column.ivec;
+  lc_ship : Column.ivec;
+  lc_commit : Column.ivec;
+  lc_receipt : Column.ivec;
+  lc_instr : Column.ivec;
+  lc_mode : Column.ivec;
   lc_comment : string array;
 }
 
@@ -184,19 +186,23 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
   let n_part = scale 200_000 in
   let n_orders = scale 1_500_000 in
   let cat f parts = Array.concat (List.map f parts) in
+  let cati f parts = Column.ivec_concat (List.map f parts) in
+  let ints f parts = Column.of_ivec (cati f parts) in
+  let dates f parts = Column.of_ivec ~ty:Value.TDate (cati f parts) in
+  let floats f parts = Column.of_fvec (Column.fvec_concat (List.map f parts)) in
 
   (* region / nation: tiny, one chunk each *)
   let region =
     let rng = Rng.create (derive_seed seed 0 0) in
     Relation.create [| "r_regionkey"; "r_name"; "r_comment" |]
-      [| Column.of_ints (Array.init 5 Fun.id);
+      [| Column.of_ivec (Column.ivec_init 5 Fun.id);
          Column.of_strings regions;
          Column.of_strings (Array.init 5 (fun _ -> mk_comment rng 6)) |]
   in
   let nation =
     let rng = Rng.create (derive_seed seed 1 0) in
     Relation.create [| "n_nationkey"; "n_name"; "n_regionkey"; "n_comment" |]
-      [| Column.of_ints (Array.init 25 Fun.id);
+      [| Column.of_ivec (Column.ivec_init 25 Fun.id);
          Column.of_strings (Array.map fst nations);
          Column.of_ints (Array.map snd nations);
          Column.of_strings (Array.init 25 (fun _ -> mk_comment rng 6)) |]
@@ -205,16 +211,16 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
   let supplier =
     let parts =
       gen_chunks ~threads ~seed ~tid:2 n_supp (fun rng _lo len ->
-          let nat = Array.init len (fun _ -> Rng.int rng 0 24) in
+          let nat = Column.ivec_init len (fun _ -> Rng.int rng 0 24) in
           let addr = Array.init len (fun _ -> mk_comment rng 3) in
           let phone =
             Array.init len (fun i ->
-                Printf.sprintf "%d-%03d-%03d-%04d" (10 + nat.(i))
+                Printf.sprintf "%d-%03d-%03d-%04d" (10 + nat.{i})
                   (Rng.int rng 100 999) (Rng.int rng 100 999)
                   (Rng.int rng 1000 9999))
           in
           let bal =
-            Array.init len (fun _ -> Rng.float rng (-999.99) 9999.99)
+            Column.fvec_init len (fun _ -> Rng.float rng (-999.99) 9999.99)
           in
           let comm =
             Array.init len (fun _ ->
@@ -225,51 +231,51 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
           in
           (nat, addr, phone, bal, comm))
     in
-    let keys = Array.init n_supp (fun i -> i + 1) in
     Relation.create
       [| "s_suppkey"; "s_name"; "s_address"; "s_nationkey"; "s_phone";
          "s_acctbal"; "s_comment" |]
-      [| Column.of_ints keys;
-         Column.of_strings (Array.map (Printf.sprintf "Supplier#%09d") keys);
+      [| Column.of_ivec (Column.ivec_init n_supp (fun i -> i + 1));
+         Column.of_strings
+           (Array.init n_supp (fun i -> Printf.sprintf "Supplier#%09d" (i + 1)));
          Column.of_strings (cat (fun (_, a, _, _, _) -> a) parts);
-         Column.of_ints (cat (fun (n, _, _, _, _) -> n) parts);
+         ints (fun (n, _, _, _, _) -> n) parts;
          Column.of_strings (cat (fun (_, _, p, _, _) -> p) parts);
-         Column.of_floats (cat (fun (_, _, _, b, _) -> b) parts);
+         floats (fun (_, _, _, b, _) -> b) parts;
          Column.of_strings (cat (fun (_, _, _, _, c) -> c) parts) |]
   in
   (* customer: ~1/3 never place orders (TPC-H property used by Q13/Q22) *)
   let customer =
     let parts =
       gen_chunks ~threads ~seed ~tid:3 n_cust (fun rng _lo len ->
-          let nat = Array.init len (fun _ -> Rng.int rng 0 24) in
+          let nat = Column.ivec_init len (fun _ -> Rng.int rng 0 24) in
           let addr = Array.init len (fun _ -> mk_comment rng 3) in
           let phone =
             Array.init len (fun i ->
-                Printf.sprintf "%d-%03d-%03d-%04d" (10 + nat.(i))
+                Printf.sprintf "%d-%03d-%03d-%04d" (10 + nat.{i})
                   (Rng.int rng 100 999) (Rng.int rng 100 999)
                   (Rng.int rng 1000 9999))
           in
           let bal =
-            Array.init len (fun _ -> Rng.float rng (-999.99) 9999.99)
+            Column.fvec_init len (fun _ -> Rng.float rng (-999.99) 9999.99)
           in
           let seg =
-            Array.init len (fun _ ->
+            Column.ivec_init len (fun _ ->
                 Rng.int rng 0 (Array.length segments - 1))
           in
           let comm = Array.init len (fun _ -> mk_comment rng 10) in
           (nat, addr, phone, bal, seg, comm))
     in
-    let keys = Array.init n_cust (fun i -> i + 1) in
     Relation.create
       [| "c_custkey"; "c_name"; "c_address"; "c_nationkey"; "c_phone";
          "c_acctbal"; "c_mktsegment"; "c_comment" |]
-      [| Column.of_ints keys;
-         Column.of_strings (Array.map (Printf.sprintf "Customer#%09d") keys);
+      [| Column.of_ivec (Column.ivec_init n_cust (fun i -> i + 1));
+         Column.of_strings
+           (Array.init n_cust (fun i -> Printf.sprintf "Customer#%09d" (i + 1)));
          Column.of_strings (cat (fun (_, a, _, _, _, _) -> a) parts);
-         Column.of_ints (cat (fun (n, _, _, _, _, _) -> n) parts);
+         ints (fun (n, _, _, _, _, _) -> n) parts;
          Column.of_strings (cat (fun (_, _, p, _, _, _) -> p) parts);
-         Column.of_floats (cat (fun (_, _, _, b, _, _) -> b) parts);
-         coded segments (cat (fun (_, _, _, _, s, _) -> s) parts);
+         floats (fun (_, _, _, b, _, _) -> b) parts;
+         coded segments (cati (fun (_, _, _, _, s, _) -> s) parts);
          Column.of_strings (cat (fun (_, _, _, _, _, c) -> c) parts) |]
   in
   (* part: categorical columns enumerate their full domain once and are
@@ -298,23 +304,23 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
                   (Rng.pick rng colors) (Rng.pick rng colors)
                   (Rng.pick rng colors) (Rng.pick rng colors))
           in
-          let mfgr = Array.init len (fun _ -> Rng.int rng 0 4) in
+          let mfgr = Column.ivec_init len (fun _ -> Rng.int rng 0 4) in
           let brand =
-            Array.init len (fun _ ->
+            Column.ivec_init len (fun _ ->
                 let a = Rng.int rng 1 5 in
                 let b = Rng.int rng 1 5 in
                 ((a - 1) * 5) + (b - 1))
           in
           let ty =
-            Array.init len (fun _ ->
+            Column.ivec_init len (fun _ ->
                 let a = Rng.int rng 0 5 in
                 let b = Rng.int rng 0 4 in
                 let c = Rng.int rng 0 4 in
                 (a * 25) + (b * 5) + c)
           in
-          let size = Array.init len (fun _ -> Rng.int rng 1 50) in
+          let size = Column.ivec_init len (fun _ -> Rng.int rng 1 50) in
           let cont =
-            Array.init len (fun _ ->
+            Column.ivec_init len (fun _ ->
                 let a = Rng.int rng 0 4 in
                 let b = Rng.int rng 0 7 in
                 (a * 8) + b)
@@ -322,19 +328,18 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
           let comm = Array.init len (fun _ -> mk_comment rng 5) in
           (name, mfgr, brand, ty, size, cont, comm))
     in
-    let keys = Array.init n_part (fun i -> i + 1) in
     Relation.create
       [| "p_partkey"; "p_name"; "p_mfgr"; "p_brand"; "p_type"; "p_size";
          "p_container"; "p_retailprice"; "p_comment" |]
-      [| Column.of_ints keys;
+      [| Column.of_ivec (Column.ivec_init n_part (fun i -> i + 1));
          Column.of_strings (cat (fun (n, _, _, _, _, _, _) -> n) parts);
-         coded mfgr_values (cat (fun (_, m, _, _, _, _, _) -> m) parts);
-         coded brand_values (cat (fun (_, _, b, _, _, _, _) -> b) parts);
-         coded type_values (cat (fun (_, _, _, t, _, _, _) -> t) parts);
-         Column.of_ints (cat (fun (_, _, _, _, s, _, _) -> s) parts);
-         coded container_values (cat (fun (_, _, _, _, _, c, _) -> c) parts);
-         Column.of_floats
-           (Array.init n_part (fun i ->
+         coded mfgr_values (cati (fun (_, m, _, _, _, _, _) -> m) parts);
+         coded brand_values (cati (fun (_, _, b, _, _, _, _) -> b) parts);
+         coded type_values (cati (fun (_, _, _, t, _, _, _) -> t) parts);
+         ints (fun (_, _, _, _, s, _, _) -> s) parts;
+         coded container_values (cati (fun (_, _, _, _, _, c, _) -> c) parts);
+         Column.of_fvec
+           (Column.fvec_init n_part (fun i ->
                 900. +. (float_of_int ((i + 1) mod 1000) /. 10.)));
          Column.of_strings (cat (fun (_, _, _, _, _, _, c) -> c) parts) |]
   in
@@ -345,18 +350,19 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
   let partsupp =
     let parts =
       gen_chunks ~threads ~seed ~tid:5 n_ps (fun rng _lo len ->
-          let avail = Array.init len (fun _ -> Rng.int rng 1 9999) in
-          let cost = Array.init len (fun _ -> Rng.float rng 1. 1000.) in
+          let avail = Column.ivec_init len (fun _ -> Rng.int rng 1 9999) in
+          let cost = Column.fvec_init len (fun _ -> Rng.float rng 1. 1000.) in
           let comm = Array.init len (fun _ -> mk_comment rng 6) in
           (avail, cost, comm))
     in
     Relation.create
       [| "ps_partkey"; "ps_suppkey"; "ps_availqty"; "ps_supplycost";
          "ps_comment" |]
-      [| Column.of_ints (Array.init n_ps (fun i -> (i / 4) + 1));
-         Column.of_ints (Array.init n_ps (fun i -> ps_supp_at ((i / 4) + 1) (i mod 4)));
-         Column.of_ints (cat (fun (a, _, _) -> a) parts);
-         Column.of_floats (cat (fun (_, c, _) -> c) parts);
+      [| Column.of_ivec (Column.ivec_init n_ps (fun i -> (i / 4) + 1));
+         Column.of_ivec
+           (Column.ivec_init n_ps (fun i -> ps_supp_at ((i / 4) + 1) (i mod 4)));
+         ints (fun (a, _, _) -> a) parts;
+         floats (fun (_, c, _) -> c) parts;
          Column.of_strings (cat (fun (_, _, c) -> c) parts) |]
   in
   (* orders + lineitem: chunked over orders; each chunk writes its own
@@ -372,29 +378,29 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
   let current_date = Value.date_of_iso "1995-06-17" in
   let och =
     gen_chunks ~threads ~seed ~tid:6 n_orders (fun rng lo len ->
-        let oc_cust = Array.make len 0 in
-        let oc_date = Array.make len 0 in
-        let oc_prio = Array.make len 0 in
-        let oc_clerk = Array.make len 0 in
+        let oc_cust = Column.ivec_create len in
+        let oc_date = Column.ivec_create len in
+        let oc_prio = Column.ivec_create len in
+        let oc_clerk = Column.ivec_create len in
         let oc_comment = Array.make len "" in
-        let oc_total = Array.make len 0. in
-        let oc_status = Array.make len 0 in
+        let oc_total = Column.fvec_create len in
+        let oc_status = Column.ivec_create len in
         let cap = len * 7 in
-        let lc_ord = Array.make cap 0 in
-        let lc_part = Array.make cap 0 in
-        let lc_supp = Array.make cap 0 in
-        let lc_line = Array.make cap 0 in
-        let lc_qty = Array.make cap 0. in
-        let lc_price = Array.make cap 0. in
-        let lc_disc = Array.make cap 0. in
-        let lc_tax = Array.make cap 0. in
-        let lc_rflag = Array.make cap 0 in
-        let lc_lstat = Array.make cap 0 in
-        let lc_ship = Array.make cap 0 in
-        let lc_commit = Array.make cap 0 in
-        let lc_receipt = Array.make cap 0 in
-        let lc_instr = Array.make cap 0 in
-        let lc_mode = Array.make cap 0 in
+        let lc_ord = Column.ivec_create cap in
+        let lc_part = Column.ivec_create cap in
+        let lc_supp = Column.ivec_create cap in
+        let lc_line = Column.ivec_create cap in
+        let lc_qty = Column.fvec_create cap in
+        let lc_price = Column.fvec_create cap in
+        let lc_disc = Column.fvec_create cap in
+        let lc_tax = Column.fvec_create cap in
+        let lc_rflag = Column.ivec_create cap in
+        let lc_lstat = Column.ivec_create cap in
+        let lc_ship = Column.ivec_create cap in
+        let lc_commit = Column.ivec_create cap in
+        let lc_receipt = Column.ivec_create cap in
+        let lc_instr = Column.ivec_create cap in
+        let lc_mode = Column.ivec_create cap in
         let lc_comment = Array.make cap "" in
         let k = ref 0 in
         for oi = 0 to len - 1 do
@@ -403,10 +409,10 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
             let c = Rng.int rng 1 n_cust in
             if c mod 3 = 0 then pick_cust () else c
           in
-          oc_cust.(oi) <- pick_cust ();
-          oc_date.(oi) <- Rng.int rng date_lo (date_hi - 151);
-          oc_prio.(oi) <- Rng.int rng 0 (Array.length priorities - 1);
-          oc_clerk.(oi) <- Rng.int rng 1 n_clerks - 1;
+          oc_cust.{oi} <- pick_cust ();
+          oc_date.{oi} <- Rng.int rng date_lo (date_hi - 151);
+          oc_prio.{oi} <- Rng.int rng 0 (Array.length priorities - 1);
+          oc_clerk.{oi} <- Rng.int rng 1 n_clerks - 1;
           oc_comment.(oi) <-
             (if Rng.int rng 0 99 < 2 then
                "dolphins special deposits requests haggle"
@@ -425,8 +431,8 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
             in
             let disc = float_of_int (Rng.int rng 0 10) /. 100. in
             let tax = float_of_int (Rng.int rng 0 8) /. 100. in
-            let ship = oc_date.(oi) + Rng.int rng 1 121 in
-            let commit = oc_date.(oi) + Rng.int rng 30 90 in
+            let ship = oc_date.{oi} + Rng.int rng 1 121 in
+            let commit = oc_date.{oi} + Rng.int rng 30 90 in
             let receipt = ship + Rng.int rng 1 30 in
             (* string-valued line attributes are tracked as dictionary codes *)
             let returnflag =
@@ -437,36 +443,36 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
             let linestatus = if ship > current_date then 0 else 1 in
             if linestatus = 0 then all_f := false else all_o := false;
             total := !total +. (price *. (1. -. disc) *. (1. +. tax));
-            lc_ord.(!k) <- lo + oi + 1;
-            lc_part.(!k) <- partkey;
-            lc_supp.(!k) <- suppkey;
-            lc_line.(!k) <- l;
-            lc_qty.(!k) <- qty;
-            lc_price.(!k) <- price;
-            lc_disc.(!k) <- disc;
-            lc_tax.(!k) <- tax;
-            lc_rflag.(!k) <- returnflag;
-            lc_lstat.(!k) <- linestatus;
-            lc_ship.(!k) <- ship;
-            lc_commit.(!k) <- commit;
-            lc_receipt.(!k) <- receipt;
-            lc_instr.(!k) <- Rng.int rng 0 (Array.length ship_instructs - 1);
-            lc_mode.(!k) <- Rng.int rng 0 (Array.length ship_modes - 1);
+            lc_ord.{!k} <- lo + oi + 1;
+            lc_part.{!k} <- partkey;
+            lc_supp.{!k} <- suppkey;
+            lc_line.{!k} <- l;
+            lc_qty.{!k} <- qty;
+            lc_price.{!k} <- price;
+            lc_disc.{!k} <- disc;
+            lc_tax.{!k} <- tax;
+            lc_rflag.{!k} <- returnflag;
+            lc_lstat.{!k} <- linestatus;
+            lc_ship.{!k} <- ship;
+            lc_commit.{!k} <- commit;
+            lc_receipt.{!k} <- receipt;
+            lc_instr.{!k} <- Rng.int rng 0 (Array.length ship_instructs - 1);
+            lc_mode.{!k} <- Rng.int rng 0 (Array.length ship_modes - 1);
             lc_comment.(!k) <- mk_comment rng 4;
             incr k
           done;
-          oc_total.(oi) <- !total;
-          oc_status.(oi) <- (if !all_f then 0 else if !all_o then 1 else 2)
+          oc_total.{oi} <- !total;
+          oc_status.{oi} <- (if !all_f then 0 else if !all_o then 1 else 2)
         done;
-        let sub a = Array.sub a 0 !k in
-        let subf a = Array.sub a 0 !k in
+        (* views of the filled prefix; the concatenation copies them *)
+        let sub a = Bigarray.Array1.sub a 0 !k in
         let subs a = Array.sub a 0 !k in
         { oc_cust; oc_date; oc_prio; oc_clerk; oc_comment; oc_total;
           oc_status;
           lc_ord = sub lc_ord; lc_part = sub lc_part; lc_supp = sub lc_supp;
-          lc_line = sub lc_line; lc_qty = subf lc_qty;
-          lc_price = subf lc_price; lc_disc = subf lc_disc;
-          lc_tax = subf lc_tax; lc_rflag = sub lc_rflag;
+          lc_line = sub lc_line; lc_qty = sub lc_qty;
+          lc_price = sub lc_price; lc_disc = sub lc_disc;
+          lc_tax = sub lc_tax; lc_rflag = sub lc_rflag;
           lc_lstat = sub lc_lstat; lc_ship = sub lc_ship;
           lc_commit = sub lc_commit; lc_receipt = sub lc_receipt;
           lc_instr = sub lc_instr; lc_mode = sub lc_mode;
@@ -477,14 +483,14 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
       [| "o_orderkey"; "o_custkey"; "o_orderstatus"; "o_totalprice";
          "o_orderdate"; "o_orderpriority"; "o_clerk"; "o_shippriority";
          "o_comment" |]
-      [| Column.of_ints (Array.init n_orders (fun i -> i + 1));
-         Column.of_ints (cat (fun c -> c.oc_cust) och);
-         coded status_values (cat (fun c -> c.oc_status) och);
-         Column.of_floats (cat (fun c -> c.oc_total) och);
-         Column.of_dates (cat (fun c -> c.oc_date) och);
-         coded priorities (cat (fun c -> c.oc_prio) och);
-         coded clerk_values (cat (fun c -> c.oc_clerk) och);
-         Column.of_ints (Array.make n_orders 0);
+      [| Column.of_ivec (Column.ivec_init n_orders (fun i -> i + 1));
+         ints (fun c -> c.oc_cust) och;
+         coded status_values (cati (fun c -> c.oc_status) och);
+         floats (fun c -> c.oc_total) och;
+         dates (fun c -> c.oc_date) och;
+         coded priorities (cati (fun c -> c.oc_prio) och);
+         coded clerk_values (cati (fun c -> c.oc_clerk) och);
+         Column.const Value.TInt (Value.VInt 0) n_orders;
          Column.of_strings (cat (fun c -> c.oc_comment) och) |]
   in
   let lineitem =
@@ -493,21 +499,21 @@ let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
          "l_extendedprice"; "l_discount"; "l_tax"; "l_returnflag";
          "l_linestatus"; "l_shipdate"; "l_commitdate"; "l_receiptdate";
          "l_shipinstruct"; "l_shipmode"; "l_comment" |]
-      [| Column.of_ints (cat (fun c -> c.lc_ord) och);
-         Column.of_ints (cat (fun c -> c.lc_part) och);
-         Column.of_ints (cat (fun c -> c.lc_supp) och);
-         Column.of_ints (cat (fun c -> c.lc_line) och);
-         Column.of_floats (cat (fun c -> c.lc_qty) och);
-         Column.of_floats (cat (fun c -> c.lc_price) och);
-         Column.of_floats (cat (fun c -> c.lc_disc) och);
-         Column.of_floats (cat (fun c -> c.lc_tax) och);
-         coded flag_values (cat (fun c -> c.lc_rflag) och);
-         coded linestatus_values (cat (fun c -> c.lc_lstat) och);
-         Column.of_dates (cat (fun c -> c.lc_ship) och);
-         Column.of_dates (cat (fun c -> c.lc_commit) och);
-         Column.of_dates (cat (fun c -> c.lc_receipt) och);
-         coded ship_instructs (cat (fun c -> c.lc_instr) och);
-         coded ship_modes (cat (fun c -> c.lc_mode) och);
+      [| ints (fun c -> c.lc_ord) och;
+         ints (fun c -> c.lc_part) och;
+         ints (fun c -> c.lc_supp) och;
+         ints (fun c -> c.lc_line) och;
+         floats (fun c -> c.lc_qty) och;
+         floats (fun c -> c.lc_price) och;
+         floats (fun c -> c.lc_disc) och;
+         floats (fun c -> c.lc_tax) och;
+         coded flag_values (cati (fun c -> c.lc_rflag) och);
+         coded linestatus_values (cati (fun c -> c.lc_lstat) och);
+         dates (fun c -> c.lc_ship) och;
+         dates (fun c -> c.lc_commit) och;
+         dates (fun c -> c.lc_receipt) och;
+         coded ship_instructs (cati (fun c -> c.lc_instr) och);
+         coded ship_modes (cati (fun c -> c.lc_mode) och);
          Column.of_strings (cat (fun c -> c.lc_comment) och) |]
   in
   { region; nation; supplier; customer; part; partsupp; orders; lineitem }

@@ -19,15 +19,17 @@ let pk cols = { Catalog.no_constraints with primary_key = cols }
 let load_crime_index ?(scale = 100) (db : Db.t) : unit =
   let rng = Rng.create 7101 in
   let n = 1000 * scale in
-  let population = Array.init n (fun _ -> float_of_int (Rng.int rng 10_000 2_000_000)) in
-  let adults = Array.map (fun p -> p *. 0.7) population in
-  let robberies = Array.init n (fun _ -> float_of_int (Rng.int rng 0 5_000)) in
+  let population =
+    Column.fvec_init n (fun _ -> float_of_int (Rng.int rng 10_000 2_000_000))
+  in
+  let adults = Column.fvec_init n (fun i -> population.{i} *. 0.7) in
+  let robberies = Column.fvec_init n (fun _ -> float_of_int (Rng.int rng 0 5_000)) in
   Db.load_table db "city_data" ~cons:(pk [ "city_id" ])
     (Relation.create [| "city_id"; "total_population"; "adult_population"; "robberies" |]
-       [| Column.of_ints (Array.init n (fun i -> i + 1));
-          Column.of_floats population;
-          Column.of_floats adults;
-          Column.of_floats robberies |]);
+       [| Column.of_ivec (Column.ivec_init n (fun i -> i + 1));
+          Column.of_fvec population;
+          Column.of_fvec adults;
+          Column.of_fvec robberies |]);
   Db.load_table db "weights" ~cons:(pk [ "id" ])
     (Relation.create [| "id"; "c0" |]
        [| Column.of_ints [| 0; 1; 2 |];
@@ -59,16 +61,16 @@ let birth_names =
 let load_birth_analysis ?(scale = 100) (db : Db.t) : unit =
   let rng = Rng.create 9204 in
   let n = 2_000 * scale in
-  let years = Array.init n (fun _ -> Rng.int rng 1880 2010) in
+  let years = Column.ivec_init n (fun _ -> Rng.int rng 1880 2010) in
   let names = Array.init n (fun _ -> Rng.pick rng birth_names) in
   let sexes = Array.init n (fun _ -> if Rng.int rng 0 1 = 0 then "F" else "M") in
-  let births = Array.init n (fun _ -> Rng.int rng 5 1_000) in
+  let births = Column.ivec_init n (fun _ -> Rng.int rng 5 1_000) in
   Db.load_table db "births"
     (Relation.create [| "year"; "name"; "sex"; "births" |]
-       [| Column.of_ints years;
+       [| Column.of_ivec years;
           Column.of_strings names;
           Column.of_strings sexes;
-          Column.of_ints births |])
+          Column.of_ivec births |])
 
 let birth_analysis_src = {|
 import pandas as pd
@@ -96,17 +98,17 @@ let load_n3 ?(scale = 100) (db : Db.t) : unit =
     (Relation.create
        [| "flight_id"; "carrier"; "month"; "day"; "dep_delay"; "arr_delay";
           "distance"; "cancelled" |]
-       [| Column.of_ints (Array.init n (fun i -> i + 1));
+       [| Column.of_ivec (Column.ivec_init n (fun i -> i + 1));
           Column.of_strings (Array.init n (fun _ -> Rng.pick rng carriers));
-          Column.of_ints (Array.init n (fun _ -> Rng.int rng 1 12));
-          Column.of_ints (Array.init n (fun _ -> Rng.int rng 1 28));
-          Column.of_floats
-            (Array.init n (fun _ -> float_of_int (Rng.int rng (-10) 180)));
-          Column.of_floats
-            (Array.init n (fun _ -> float_of_int (Rng.int rng (-20) 200)));
-          Column.of_floats
-            (Array.init n (fun _ -> float_of_int (Rng.int rng 50 3000)));
-          Column.of_ints (Array.init n (fun _ -> if Rng.int rng 0 49 = 0 then 1 else 0)) |])
+          Column.of_ivec (Column.ivec_init n (fun _ -> Rng.int rng 1 12));
+          Column.of_ivec (Column.ivec_init n (fun _ -> Rng.int rng 1 28));
+          Column.of_fvec
+            (Column.fvec_init n (fun _ -> float_of_int (Rng.int rng (-10) 180)));
+          Column.of_fvec
+            (Column.fvec_init n (fun _ -> float_of_int (Rng.int rng (-20) 200)));
+          Column.of_fvec
+            (Column.fvec_init n (fun _ -> float_of_int (Rng.int rng 50 3000)));
+          Column.of_ivec (Column.ivec_init n (fun _ -> if Rng.int rng 0 49 = 0 then 1 else 0)) |])
 
 let n3_src = {|
 import pandas as pd
@@ -140,15 +142,15 @@ let load_n9 ?(scale = 100) (db : Db.t) : unit =
   Db.load_table db "sales"
     (Relation.create
        [| "sale_id"; "product_id"; "store"; "quantity"; "price"; "promo" |]
-       [| Column.of_ints (Array.init n (fun i -> i + 1));
-          Column.of_ints (Array.init n (fun _ -> Rng.int rng 1 n_products));
-          Column.of_ints (Array.init n (fun _ -> Rng.int rng 1 50));
-          Column.of_ints (Array.init n (fun _ -> Rng.int rng 1 20));
-          Column.of_floats (Array.init n (fun _ -> Rng.float rng 0.5 500.));
-          Column.of_ints (Array.init n (fun _ -> Rng.int rng 0 1)) |]);
+       [| Column.of_ivec (Column.ivec_init n (fun i -> i + 1));
+          Column.of_ivec (Column.ivec_init n (fun _ -> Rng.int rng 1 n_products));
+          Column.of_ivec (Column.ivec_init n (fun _ -> Rng.int rng 1 50));
+          Column.of_ivec (Column.ivec_init n (fun _ -> Rng.int rng 1 20));
+          Column.of_fvec (Column.fvec_init n (fun _ -> Rng.float rng 0.5 500.));
+          Column.of_ivec (Column.ivec_init n (fun _ -> Rng.int rng 0 1)) |]);
   Db.load_table db "products" ~cons:(pk [ "product_id" ])
     (Relation.create [| "product_id"; "category" |]
-       [| Column.of_ints (Array.init n_products (fun i -> i + 1));
+       [| Column.of_ivec (Column.ivec_init n_products (fun i -> i + 1));
           Column.of_strings
             (Array.init n_products (fun _ ->
                  Rng.pick rng [| "food"; "toys"; "garden"; "office"; "sports" |])) |])
@@ -180,10 +182,10 @@ let load_hybrid ?(rows = 100_000) (db : Db.t) : unit =
       (Array.of_list
          (("id" :: List.init k (fun j -> Printf.sprintf "%s%d" prefix j))))
       (Array.of_list
-         (Column.of_ints (Array.init n (fun i -> i + 1))
+         (Column.of_ivec (Column.ivec_init n (fun i -> i + 1))
          :: List.init k (fun _ ->
-                Column.of_floats
-                  (Array.init n (fun _ -> Rng.float rng (-1.) 1.)))))
+                Column.of_fvec
+                  (Column.fvec_init n (fun _ -> Rng.float rng (-1.) 1.)))))
   in
   Db.load_table db "t1" ~cons:(pk [ "id" ]) (mk rows "x" 2);
   Db.load_table db "t2" ~cons:(pk [ "id" ]) (mk rows "y" 2);
@@ -267,9 +269,9 @@ let load_covar (db : Db.t) ~rows ~cols ~sparsity : unit =
     (Relation.create
        (Array.of_list ("id" :: List.init cols (Printf.sprintf "c%d")))
        (Array.of_list
-          (Column.of_ints (Array.init rows Fun.id)
+          (Column.of_ivec (Column.ivec_init rows Fun.id)
           :: List.init cols (fun j ->
-                 Column.of_floats (Array.init rows (fun i -> m.(i).(j)))))));
+                 Column.of_fvec (Column.fvec_init rows (fun i -> m.(i).(j)))))));
   let coo_r = ref [] and coo_c = ref [] and coo_v = ref [] in
   for i = rows - 1 downto 0 do
     for j = cols - 1 downto 0 do

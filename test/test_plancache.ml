@@ -44,7 +44,53 @@ let workload_sqls =
          (name, db, Pytond.compile ~db ~source:src ~fname:"query" ()))
        Workloads.all)
 
-let corpus () = Lazy.force tpch_sqls @ Lazy.force workload_sqls
+(* A CASE inside ORDER BY / GROUP BY followed by a positional item: the
+   ordinal after END must stay an ordinal, not become a constant key. *)
+let case_sqls =
+  lazy
+    (let db = Db.create () in
+     Db.load_table db "t"
+       (rel [ "a"; "b" ]
+          [ ints [| 1; 2; 1; 3; 2; 1; 3 |]; ints [| 5; 3; 9; 1; 7; 2; 3 |] ]);
+     List.map
+       (fun (name, sql) -> (name, db, sql))
+       [ ( "order-by-case-ordinal-2",
+           "SELECT a, b FROM t ORDER BY CASE WHEN a = 1 THEN 0 ELSE 1 END, 2" );
+         ( "order-by-case-ordinal-1",
+           "SELECT a, b FROM t ORDER BY CASE WHEN a = 1 THEN 0 ELSE 1 END, 1" );
+         ( "group-by-case-ordinal",
+           "SELECT b, COUNT(*) AS n FROM t GROUP BY CASE WHEN a = 1 THEN 0 \
+            ELSE 1 END, 1" ) ])
+
+let corpus () =
+  Lazy.force tpch_sqls @ Lazy.force workload_sqls @ Lazy.force case_sqls
+
+(* Bare GROUP BY / ORDER BY items of a query and its CTEs that are
+   parameter slots. A bare integer there is a positional reference, so a
+   shape must never turn one into a slot. *)
+let rec bare_param_items (q : Sql_ast.query) : int =
+  let own =
+    match q.Sql_ast.body with
+    | Sql_ast.Select s ->
+      List.length
+        (List.filter
+           (function Sql_ast.Param _ -> true | _ -> false)
+           (s.Sql_ast.group_by @ List.map fst s.Sql_ast.order_by))
+    | Sql_ast.Values _ -> 0
+  in
+  List.fold_left (fun acc (_, _, cq) -> acc + bare_param_items cq) own
+    q.Sql_ast.ctes
+
+let contains sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Rows in output order, exact cells. *)
+let ordered_rows (r : Relation.t) : string list =
+  List.init (Relation.n_rows r) (fun i ->
+      String.concat "|"
+        (Array.to_list (Array.map Value.to_string (Relation.row r i))))
 
 (* ------------------------------------------------------------------ *)
 (* Round-trip: parameterize -> re-render literals -> re-fingerprint    *)
@@ -74,6 +120,9 @@ let test_roundtrip =
              round may reassociate AND chains, after which printing is a
              fixpoint *)
           let ast = Sql_parse.parse f.Sql_shape.shape in
+          Alcotest.(check int)
+            (name ^ ": positional items stay literal")
+            0 (bare_param_items ast);
           let p1 = Sql_print.query_to_sql ast in
           let p2 = Sql_print.query_to_sql (Sql_parse.parse p1) in
           Alcotest.(check string)
@@ -117,13 +166,20 @@ let test_bind_identity =
               (Sql_parse.parse f.Sql_shape.shape)
           in
           let bound = Plan.bind_query f.Sql_shape.params tpl in
+          (* an ORDER BY fixes the row order, so it must agree too *)
+          let check msg expected actual =
+            if contains "ORDER BY" sql then
+              Alcotest.(check (list string))
+                msg (ordered_rows expected) (ordered_rows actual)
+            else check_rel msg expected actual
+          in
           List.iter
             (fun threads ->
-              check_rel
+              check
                 (Printf.sprintf "%s vectorized @%dt" name threads)
                 (Exec_vectorized.run_query ~threads cat direct)
                 (Exec_vectorized.run_query ~threads cat bound);
-              check_rel
+              check
                 (Printf.sprintf "%s compiled @%dt" name threads)
                 (Exec_compiled.run_query ~threads cat direct)
                 (Exec_compiled.run_query ~threads cat bound))

@@ -105,64 +105,107 @@ let column_props =
              (fun i -> Column.int_at t i = arr.(n - 1 - i))
              (Array.init n Fun.id))) ]
 
-(* Bigarray-backed columns must be indistinguishable from the legacy
-   boxed-array layout: same values, same nulls, through ingest, gather
-   (take) and concat, for every promotable type. *)
+(* Every column layout must hand back exactly the values it was built
+   from, through ingest (of_values / encode), gathers with injected nulls
+   (take), fast- and slow-path concat and incremental append. Expected
+   values are computed on the input [Value.t] array itself. *)
 let bigarray_tests =
   let values_of c = Array.init (Column.length c) (Column.get c) in
-  let mixed_floats n =
-    Array.init n (fun i ->
-        if i mod 7 = 0 then Value.VNull
-        else Value.VFloat (float_of_int (i - (n / 2)) /. 3.))
+  let n = 300 in
+  let cases =
+    [ ( "int",
+        Value.TInt,
+        Array.init n (fun i ->
+            if i mod 5 = 0 then Value.VNull else Value.VInt ((i * 37 mod 211) - 100))
+      );
+      ( "float",
+        Value.TFloat,
+        Array.init n (fun i ->
+            if i mod 7 = 0 then Value.VNull
+            else Value.VFloat (float_of_int (i - (n / 2)) /. 3.)) );
+      ( "date",
+        Value.TDate,
+        Array.init n (fun i ->
+            if i mod 9 = 0 then Value.VNull else Value.VDate (i * 3)) );
+      ( "string",
+        Value.TString,
+        Array.init n (fun i ->
+            if i mod 6 = 0 then Value.VNull
+            else Value.VString (Printf.sprintf "s%d" (i mod 13))) );
+      ( "bool",
+        Value.TBool,
+        Array.init n (fun i ->
+            if i mod 8 = 0 then Value.VNull else Value.VBool (i mod 3 = 0)) ) ]
   in
-  [ tc "round trip vs legacy" (fun () ->
-        let n = 300 in
+  (* raw layouts plus the dictionary-encoded string layout *)
+  let columns_of ty vals =
+    let c = Column.of_values ty vals in
+    if ty = Value.TString then
+      let d = Column.encode c in
+      Alcotest.(check bool) "string column encodes" true (Column.is_dict d);
+      [ c; d ]
+    else [ c ]
+  in
+  let check name expected c =
+    Alcotest.(check bool) name true (values_of c = expected)
+  in
+  [ tc "round trip vs values" (fun () ->
         List.iter
           (fun (name, ty, vals) ->
-            let legacy = Column.of_values ty vals in
-            let big = Column.to_bigarray legacy in
-            Alcotest.(check bool) (name ^ " promoted") true
-              (Column.is_bigarray big);
-            Alcotest.(check bool)
-              (name ^ " values survive") true
-              (values_of big = vals && values_of legacy = vals);
-            (* gather through a reversing permutation with injected nulls *)
-            let idx =
-              Array.init n (fun i -> if i mod 11 = 3 then -1 else n - 1 - i)
-            in
-            let gb = Column.take big idx and gl = Column.take legacy idx in
-            Alcotest.(check bool)
-              (name ^ " take keeps the unboxed backing") true
-              (Column.is_bigarray gb);
-            Alcotest.(check bool)
-              (name ^ " take agrees") true
-              (values_of gb = values_of gl);
-            (* scatter the gathered halves back together via concat *)
-            let cb = Column.concat [ gb; big ]
-            and cl = Column.concat [ gl; legacy ] in
-            Alcotest.(check bool)
-              (name ^ " concat agrees") true
-              (values_of cb = values_of cl))
-          [ ( "int",
-              Value.TInt,
-              Array.init n (fun i ->
-                  if i mod 5 = 0 then Value.VNull
-                  else Value.VInt ((i * 37 mod 211) - 100)) );
-            ("float", Value.TFloat, mixed_floats n);
-            ( "date",
-              Value.TDate,
-              Array.init n (fun i ->
-                  if i mod 9 = 0 then Value.VNull else Value.VDate (i * 3)) ) ]);
-    tc "to_bigarray/to_legacy preserve" (fun () ->
-        let vals = mixed_floats 64 in
-        let c = Column.of_values Value.TFloat vals in
-        let b = Column.to_bigarray c in
-        let l = Column.to_legacy b in
-        Alcotest.(check bool) "bigarray form" true (Column.is_bigarray b);
-        Alcotest.(check bool) "legacy form" false (Column.is_bigarray l);
-        Alcotest.(check bool)
-          "values stable" true
-          (values_of b = vals && values_of l = vals)) ]
+            List.iter
+              (fun c ->
+                check (name ^ " of_values/get") vals c;
+                (* a reversing permutation with injected -1 (null) gathers *)
+                let idx =
+                  Array.init n (fun i -> if i mod 11 = 3 then -1 else n - 1 - i)
+                in
+                check (name ^ " take")
+                  (Array.map (fun i -> if i < 0 then Value.VNull else vals.(i)) idx)
+                  (Column.take c idx))
+              (columns_of ty vals);
+            check (name ^ " const") (Array.make 4 vals.(1))
+              (Column.const ty vals.(1) 4);
+            check (name ^ " null const") (Array.make 4 Value.VNull)
+              (Column.const ty Value.VNull 4))
+          cases);
+    tc "concat/append_chunk vs values" (fun () ->
+        List.iter
+          (fun (name, ty, vals) ->
+            List.iter
+              (fun c ->
+                let half = Array.sub vals 0 (n / 2) in
+                let live =
+                  Array.of_list
+                    (List.filter
+                       (fun i -> not (Value.is_null vals.(i)))
+                       (List.init n Fun.id))
+                in
+                (* gathers keep the source layout (and dictionary) *)
+                let null_free = Column.take c live in
+                let with_nulls = Column.take c (Array.init (n / 2) Fun.id) in
+                (* the same-layout fast path (no nulls) and the boxed slow
+                   path (nulls on one side) *)
+                let live_vals = Array.map (fun i -> vals.(i)) live in
+                check (name ^ " concat fast")
+                  (Array.append live_vals live_vals)
+                  (Column.concat [ null_free; null_free ]);
+                check (name ^ " concat slow")
+                  (Array.append half vals)
+                  (Column.concat [ with_nulls; c ]);
+                (* append onto the resident column; a dictionary grows
+                   code-stably with the batch's unseen values *)
+                let fresh =
+                  Array.map
+                    (function
+                      | Value.VString s -> Value.VString (s ^ "+")
+                      | v -> v)
+                    half
+                in
+                check (name ^ " append_chunk")
+                  (Array.append vals fresh)
+                  (Column.append_chunk c (Column.of_values ty fresh)))
+              (columns_of ty vals))
+          cases) ]
 
 let relation_tests =
   [ tc "schema & canonical" (fun () ->
